@@ -61,6 +61,7 @@ from repro.core.tf_model import TaxonomyFactorModel  # noqa: E402
 from repro.core.topk import top_k_rows  # noqa: E402
 from repro.eval.recall import RecallCurve, sweep_recall  # noqa: E402
 from repro.serving.index import SubtreeIndex  # noqa: E402
+from repro.serving.retrieval import RetrievalConfig, Retriever  # noqa: E402
 from repro.serving.service import RecommenderService  # noqa: E402
 from repro.taxonomy.tree import Taxonomy  # noqa: E402
 from repro.utils.config import TrainConfig  # noqa: E402
@@ -321,9 +322,10 @@ def bench_approx(
     n_items = taxonomy.n_items
     effective = factor_set.effective_items()
     bias = factor_set.bias_of_items()
-    index = SubtreeIndex(
-        effective, bias, taxonomy, level=APPROX_LEVEL, approx=True
+    retriever = Retriever(
+        RetrievalConfig("budget", level=APPROX_LEVEL), effective, bias, taxonomy
     )
+    index = retriever.index
     k = sizes["k"]
     gate_budget = max(1, round(GATE_FRACTION * n_items))
     gate_nprobe = max(1, round(GATE_FRACTION * index.n_cells))
@@ -353,7 +355,7 @@ def bench_approx(
     nprobes = [max(1, round(f * index.n_cells)) for f in NPROBE_FRACTIONS]
     assert budgets[0] == gate_budget and nprobes[0] == gate_nprobe
     curve = sweep_recall(
-        index, queries, k=k, budgets=budgets, nprobes=nprobes, banned=banned
+        retriever, queries, k=k, budgets=budgets, nprobes=nprobes, banned=banned
     )
     recall_of = {(p.mode, p.knob): p.recall for p in curve.points}
     budget_recall = recall_of[("budget", gate_budget)]

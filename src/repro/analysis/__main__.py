@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant linter: determinism, top-k total order, "
             "monotonic clocks, lock discipline, shared-memory lifecycle, "
-            "and deprecated-shim hygiene."
+            "library print hygiene, and non-blocking gateway code."
         ),
     )
     parser.add_argument(

@@ -27,9 +27,7 @@ All model fitting goes through the unified ``repro.train`` front door —
 changing the objective.
 
 Models persist as :class:`~repro.serving.bundle.ModelBundle` directories
-(factors + taxonomy + config + manifest).  The pre-1.1 ``model.npz`` +
-``model.npz.meta.json`` sidecar convention is still readable (with a
-``DeprecationWarning``); re-run ``train`` to migrate.
+(factors + taxonomy + config + manifest).
 
 Example session::
 
@@ -74,7 +72,8 @@ from repro.data.synthetic import generate_dataset
 from repro.data.transactions import TransactionLog
 from repro.eval.protocol import evaluate_cold_start, evaluate_model, evaluate_topk
 from repro.serving.bundle import MANIFEST_NAME, BundleError, ModelBundle
-from repro.serving.service import RETRIEVAL_MODES, RecommenderService
+from repro.serving.retrieval import RETRIEVAL_MODES, RetrievalConfig
+from repro.serving.service import RecommenderService
 from repro.serving.sharding import ShardRouter, ShardingError
 from repro.streaming.events import events_from_transactions
 from repro.streaming.pipeline import StreamingPipeline
@@ -299,37 +298,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_bundle(args) -> Tuple[ModelBundle, TransactionLog]:
-    """Resolve ``--model`` into a bundle: directory, or legacy ``.npz``."""
-    taxonomy, log = _load_data(args.data_dir)
+def _load_model(args) -> Tuple[TaxonomyFactorModel, TrainTestSplit, Dict]:
+    """Load the ``--model`` bundle and re-derive its train/test split."""
+    _taxonomy, log = _load_data(args.data_dir)
     path = Path(args.model)
-    try:
-        if (path / MANIFEST_NAME).exists():
-            bundle = ModelBundle.load(path)
-        elif path.is_file():
-            # Surface the DeprecationWarning even under Python's default
-            # warning filters, which hide it outside __main__.
-            print(
-                f"note: {path} uses the deprecated .npz+.meta.json format; "
-                f"re-run `train` to migrate to a bundle directory "
-                f"(see docs/migration.md)",
-                file=sys.stderr,
-            )
-            bundle = ModelBundle.load_legacy(path, taxonomy)  # repro: noqa[REP006] -- the CLI is the supported migration path for user-held legacy .npz artifacts
-        else:
-            bundle = None
-    except BundleError as exc:
-        raise SystemExit(str(exc))
-    if bundle is None:
+    if not (path / MANIFEST_NAME).exists():
         raise SystemExit(
             f"no model bundle at {path} (expected a directory with "
-            f"{MANIFEST_NAME}, or a legacy .npz factor file)"
+            f"{MANIFEST_NAME})"
         )
-    return bundle, log
-
-
-def _load_model(args) -> Tuple[TaxonomyFactorModel, TrainTestSplit, Dict]:
-    bundle, log = _load_bundle(args)
+    try:
+        bundle = ModelBundle.load(path)
+    except BundleError as exc:
+        raise SystemExit(str(exc))
     if not isinstance(bundle.model, TaxonomyFactorModel):
         raise SystemExit(
             f"{args.model} contains a {type(bundle.model).__name__}; this "
@@ -345,42 +326,42 @@ def _load_model(args) -> Tuple[TaxonomyFactorModel, TrainTestSplit, Dict]:
     return model, split, extra
 
 
-def _serving_retrieval(args, extra: Dict) -> str:
-    """Resolve ``--retrieval``: flag first, then the bundle's manifest hint.
+def _add_retrieval_flags(parser: argparse.ArgumentParser) -> None:
+    """The ``--retrieval`` / ``--budget`` / ``--nprobe`` serving flags."""
+    parser.add_argument("--retrieval", default=None,
+                        choices=RETRIEVAL_MODES,
+                        help="dense scoring, taxonomy-pruned exact "
+                             "retrieval (identical rankings, large-catalog "
+                             "fast path; per-slice indexes in an item-"
+                             "partitioned fleet), or the approximate "
+                             "sub-linear tiers budget/ivf (rankings "
+                             "invariant to the shard count); default: "
+                             "bundle hint / exact")
+    parser.add_argument("--budget", type=int, default=None,
+                        help="per-row node budget for --retrieval budget "
+                             "(default: bundle hint / scan everything)")
+    parser.add_argument("--nprobe", type=int, default=None,
+                        help="taxonomy cells probed per row for "
+                             "--retrieval ivf (default: bundle hint / "
+                             "probe everything)")
 
-    A bundle saved with ``extra={"retrieval": "pruned"}`` (or ``"budget"``
-    / ``"ivf"``) serves that mode by default; the flag always wins.
+
+def _retrieval_kwargs(args, extra: Dict) -> Dict:
+    """Resolve the retrieval flags into serving-constructor keywords.
+
+    Flag first, then the bundle's manifest hint (a bundle saved with
+    ``extra={"retrieval": "budget", "budget": 50000}`` carries its
+    measured operating point with it), then exact.
     """
-    value = args.retrieval or extra.get("retrieval", "exact")
-    if value not in RETRIEVAL_MODES:
-        raise SystemExit(
-            f"invalid retrieval mode {value!r} in the bundle manifest "
-            f"(expected one of {'/'.join(RETRIEVAL_MODES)})"
-        )
-    return value
-
-
-def _serving_knob(args, extra: Dict, name: str) -> Optional[int]:
-    """Resolve ``--budget`` / ``--nprobe``: flag first, then manifest hint.
-
-    A bundle saved with ``extra={"retrieval": "budget", "budget": 50000}``
-    carries its measured operating point with it; the flag always wins.
-    """
-    value = getattr(args, name, None)
-    if value is None:
-        value = extra.get(name)
-    if value is None:
-        return None
     try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise SystemExit(
-            f"invalid {name} {value!r} in the bundle manifest "
-            f"(expected a positive integer)"
-        )
-    if value < 1:
-        raise SystemExit(f"{name} must be >= 1, got {value}")
-    return value
+        return RetrievalConfig.from_hint(
+            extra,
+            retrieval=args.retrieval,
+            budget=args.budget,
+            nprobe=args.nprobe,
+        ).as_hint()
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -515,11 +496,8 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
     try:
         service = RecommenderService(
             model, history_log=split.train, cascade=_serving_cascade(args),
-            cache_size=args.cache_size,
-            retrieval=_serving_retrieval(args, extra),
-            budget=_serving_knob(args, extra, "budget"),
-            nprobe=_serving_knob(args, extra, "nprobe"),
-            tracer=tracer,
+            cache_size=args.cache_size, tracer=tracer,
+            **_retrieval_kwargs(args, extra),
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -543,9 +521,7 @@ def cmd_serve_sharded(args: argparse.Namespace) -> int:
     model, split, extra = _load_model(args)
     users = _serving_users(args, model)
     cascade = _serving_cascade(args)
-    retrieval = _serving_retrieval(args, extra)
-    budget = _serving_knob(args, extra, "budget")
-    nprobe = _serving_knob(args, extra, "nprobe")
+    retrieval = _retrieval_kwargs(args, extra)
     tracer = _telemetry_tracer(args)
     try:
         router = ShardRouter(
@@ -555,10 +531,8 @@ def cmd_serve_sharded(args: argparse.Namespace) -> int:
             cascade=cascade,
             cache_size=args.cache_size,
             partition=args.partition,
-            retrieval=retrieval,
-            budget=budget,
-            nprobe=nprobe,
             tracer=tracer,
+            **retrieval,
         )
     except (ValueError, ShardingError) as exc:
         raise SystemExit(str(exc))
@@ -574,8 +548,7 @@ def cmd_serve_sharded(args: argparse.Namespace) -> int:
         if args.verify:
             service = RecommenderService(
                 model, history_log=split.train, cascade=cascade,
-                cache_size=args.cache_size, retrieval=retrieval,
-                budget=budget, nprobe=nprobe,
+                cache_size=args.cache_size, **retrieval,
             )
             reference = service.recommend_batch(users, k=args.k)
             if np.array_equal(recommendations, reference):
@@ -617,11 +590,8 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     tracer = _telemetry_tracer(args)
     try:
         service = RecommenderService(
-            model, history_log=split.train,
-            retrieval=_serving_retrieval(args, extra),
-            budget=_serving_knob(args, extra, "budget"),
-            nprobe=_serving_knob(args, extra, "nprobe"),
-            tracer=tracer,
+            model, history_log=split.train, tracer=tracer,
+            **_retrieval_kwargs(args, extra),
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -975,20 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cascade", type=float, default=None,
                        help="serve through a cascade keeping this fraction "
                             "per level (Sec. 5.1)")
-    serve.add_argument("--retrieval", default=None,
-                       choices=RETRIEVAL_MODES,
-                       help="dense scoring, taxonomy-pruned exact "
-                            "retrieval (identical rankings, large-catalog "
-                            "fast path), or the approximate sub-linear "
-                            "tiers budget/ivf; default: bundle hint / "
-                            "exact")
-    serve.add_argument("--budget", type=int, default=None,
-                       help="per-row node budget for --retrieval budget "
-                            "(default: bundle hint / scan everything)")
-    serve.add_argument("--nprobe", type=int, default=None,
-                       help="taxonomy cells probed per row for "
-                            "--retrieval ivf (default: bundle hint / "
-                            "probe everything)")
+    _add_retrieval_flags(serve)
     serve.add_argument("--cache-size", type=int, default=4096)
     serve.add_argument("--out", default=None,
                        help="write JSONL here instead of stdout")
@@ -1020,21 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
     sharded.add_argument("--cascade", type=float, default=None,
                          help="serve through a cascade keeping this fraction "
                               "per level (users partition only)")
-    sharded.add_argument("--retrieval", default=None,
-                         choices=RETRIEVAL_MODES,
-                         help="dense scoring, taxonomy-pruned exact "
-                              "retrieval inside every shard (per-slice "
-                              "indexes in the item partition), or the "
-                              "approximate budget/ivf tiers (rankings "
-                              "invariant to the shard count); default: "
-                              "bundle hint / exact")
-    sharded.add_argument("--budget", type=int, default=None,
-                         help="per-row node budget for --retrieval budget "
-                              "(default: bundle hint / scan everything)")
-    sharded.add_argument("--nprobe", type=int, default=None,
-                         help="taxonomy cells probed per row for "
-                              "--retrieval ivf (default: bundle hint / "
-                              "probe everything)")
+    _add_retrieval_flags(sharded)
     sharded.add_argument("--cache-size", type=int, default=4096)
     sharded.add_argument("--verify", action="store_true",
                          help="also run the single-process service and fail "
@@ -1066,17 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--max-inflight", type=int, default=128,
                          help="admitted requests beyond which the edge "
                               "sheds with 429")
-    gateway.add_argument("--retrieval", default=None,
-                         choices=RETRIEVAL_MODES,
-                         help="backend retrieval mode (default: bundle "
-                              "hint / exact)")
-    gateway.add_argument("--budget", type=int, default=None,
-                         help="per-row node budget for --retrieval budget "
-                              "(default: bundle hint / scan everything)")
-    gateway.add_argument("--nprobe", type=int, default=None,
-                         help="taxonomy cells probed per row for "
-                              "--retrieval ivf (default: bundle hint / "
-                              "probe everything)")
+    _add_retrieval_flags(gateway)
     gateway.add_argument("--duration", type=float, default=None,
                          help="serve for this many seconds then exit "
                               "(default: run until interrupted)")

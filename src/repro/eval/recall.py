@@ -9,7 +9,7 @@ knob can be *chosen* instead of guessed:
 * :func:`recall_vs_reference` — mean per-row overlap between an
   approximate ranking page and the exact reference (the standard
   recall@k of ANN evaluation);
-* :func:`sweep_recall` — run a :class:`~repro.serving.index.SubtreeIndex`
+* :func:`sweep_recall` — run a :class:`~repro.serving.retrieval.Retriever`
   over a grid of budgets and nprobes and emit a
   :class:`RecallCurve`: one :class:`RecallPoint` per operating point with
   its recall@k, scan time, rows/sec, and the fraction of the catalog it
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.index import SubtreeIndex
+from repro.serving.retrieval import RetrievalConfig, Retriever
 
 
 def recall_vs_reference(
@@ -169,7 +169,7 @@ class RecallCurve:
 
 
 def sweep_recall(
-    index: SubtreeIndex,
+    retriever: Retriever,
     queries: np.ndarray,
     *,
     k: int = 10,
@@ -180,8 +180,11 @@ def sweep_recall(
 ) -> RecallCurve:
     """Measure recall@*k* and scan throughput over knob grids.
 
-    The exact reference is one :meth:`SubtreeIndex.top_k` pass (provably
-    identical to brute force), so the sweep never materializes a dense
+    Every operating point is scanned through the serving seam —
+    *retriever* reconfigured to that (mode, knob) over its one index — so
+    the curve measures what ``retrieval="budget"`` / ``"ivf"`` serve.
+    The exact reference is one ``"pruned"`` scan (provably identical to
+    brute force), so the sweep never materializes a dense
     ``(n_rows, n_items)`` score matrix.  Each knob is scanned *repeats*
     times; the recorded seconds cover all repeats and
     ``rows_per_second`` amortizes over them, damping timer noise on
@@ -189,9 +192,9 @@ def sweep_recall(
 
     Parameters
     ----------
-    index:
-        A :class:`~repro.serving.index.SubtreeIndex` built with
-        ``approx=True``.
+    retriever:
+        A :class:`~repro.serving.retrieval.Retriever` built in an
+        approximate mode (its own knob is ignored: the grids replace it).
     queries:
         ``(n_rows, K)`` query vectors, as the serving paths produce.
     k:
@@ -204,24 +207,30 @@ def sweep_recall(
     repeats:
         Scans averaged per point (>= 1).
     """
-    if not index.approx:
+    if not retriever.config.approximate:
         raise ValueError(
-            "sweep_recall needs an index built with approx=True"
+            "sweep_recall needs a retriever built in an approximate mode "
+            f"(budget/ivf), got {retriever.config.mode!r}"
         )
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     queries = np.asarray(queries, dtype=np.float64)
-    reference = index.top_k(queries, k, banned=banned)
+    reference = retriever.reconfigured(RetrievalConfig("pruned")).scan(
+        queries, k, banned
+    )
     points: List[RecallPoint] = []
     n_rows = int(queries.shape[0])
-    brute_nodes = max(1, n_rows * index.n_indexed)
-    grids = [("budget", index.top_k_budget, "budget", budgets),
-             ("ivf", index.top_k_ivf, "nprobe", nprobes)]
-    for mode, scan, knob_name, knob_values in grids:
+    n_indexed = retriever.index.n_indexed
+    brute_nodes = max(1, n_rows * n_indexed)
+    grids = [("budget", "budget", budgets), ("ivf", "nprobe", nprobes)]
+    for mode, knob_name, knob_values in grids:
         for knob in knob_values:
+            scan = retriever.reconfigured(
+                RetrievalConfig(mode, **{knob_name: knob})
+            ).scan
             started = time.perf_counter()
             for _ in range(repeats):
-                page = scan(queries, k, banned=banned, **{knob_name: knob})
+                page = scan(queries, k, banned)
             seconds = max(time.perf_counter() - started, 1e-12)
             points.append(
                 RecallPoint(
@@ -239,6 +248,6 @@ def sweep_recall(
     return RecallCurve(
         k=int(k),
         n_rows=n_rows,
-        n_indexed=int(index.n_indexed),
+        n_indexed=int(n_indexed),
         points=tuple(points),
     )

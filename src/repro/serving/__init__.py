@@ -1,6 +1,6 @@
 """The serving layer: the recommended front door for all inference.
 
-Five pieces turn the trained models into a deployable system:
+Six pieces turn the trained models into a deployable system:
 
 * :class:`~repro.serving.protocol.Recommender` — the structural protocol
   (``score_items`` / ``score_matrix`` / ``recommend`` / ``recommend_batch``)
@@ -22,6 +22,11 @@ Five pieces turn the trained models into a deployable system:
   approximate-but-deterministic tiers ``retrieval="budget"`` (bounded
   node budget per row) and ``retrieval="ivf"`` (top-``nprobe`` taxonomy
   cells, optional fp16 factor pages) for catalogs past ~1M items;
+* :class:`~repro.serving.retrieval.RetrievalConfig` /
+  :class:`~repro.serving.retrieval.Retriever` — the retrieval seam: the
+  ``retrieval=`` mode and its knobs validated once, and the one ``scan``
+  every known-user ranking (service, user shard, item-slice shard) goes
+  through;
 * :class:`~repro.serving.sharding.ShardRouter` — the multi-process fleet:
   factor matrices published once via ``multiprocessing.shared_memory``,
   N shard workers each hosting a full service over zero-copy views, user
@@ -47,9 +52,13 @@ from repro.serving.bundle import BUNDLE_VERSION, BundleError, ModelBundle
 from repro.serving.coldstart import FoldInRecommender
 from repro.serving.index import RetrievalPage, SubtreeIndex
 from repro.serving.protocol import Recommender
-from repro.serving.service import (
+from repro.serving.retrieval import (
     APPROX_RETRIEVAL_MODES,
     RETRIEVAL_MODES,
+    RetrievalConfig,
+    Retriever,
+)
+from repro.serving.service import (
     ModelState,
     QueryVectorCache,
     RecommenderService,
@@ -76,6 +85,8 @@ __all__ = [
     "ModelState",
     "RETRIEVAL_MODES",
     "APPROX_RETRIEVAL_MODES",
+    "RetrievalConfig",
+    "Retriever",
     "ServingError",
     "ServingStats",
     "QueryVectorCache",

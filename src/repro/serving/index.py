@@ -471,21 +471,10 @@ class SubtreeIndex:
         ``top_k_rows`` over the dense scores of the indexed items.
         """
         started = time.perf_counter()
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2:
-            raise ValueError(
-                f"queries must be 2-d, got shape {queries.shape}"
-            )
-        n_rows = queries.shape[0]
-        width = min(int(k), self.n_indexed)
-        items_out = np.full((n_rows, width), PAD_ITEM, dtype=np.int64)
-        scores_out = np.full((n_rows, width), -np.inf)
-        if width <= 0 or n_rows == 0 or self.n_groups == 0:
+        queries, items_out, scores_out = self._open_page(queries, k)
+        n_rows, width = items_out.shape
+        if items_out.size == 0 or self.n_groups == 0:
             return RetrievalPage(items_out, scores_out, 0, 0)
-        if banned is not None and len(banned) != n_rows:
-            raise ValueError(
-                f"got {len(banned)} banned rows for {n_rows} queries"
-            )
 
         # Stage 1: per-row group bounds, one shared scan order (by mean
         # bound), and per-row suffix maxima so each row knows the best
@@ -531,17 +520,7 @@ class SubtreeIndex:
             scores = queries[active] @ self._eff[rows].T + self._bias[rows]
             nodes_scored += scores.size
             groups_scanned += g_end - g_pos
-            if banned_rows is not None:
-                for slot, row in enumerate(active):
-                    hits = banned_rows[row]
-                    if hits is None:
-                        continue
-                    at = np.searchsorted(rows, hits)
-                    inside = at < rows.size
-                    at, hits = at[inside], hits[inside]
-                    at = at[rows[at] == hits]
-                    if at.size:
-                        scores[slot, at] = -np.inf
+            self._mask_banned(scores, rows, banned_rows, active)
             local = top_k_rows(scores, width)
             looked = np.clip(local, 0, None)
             page_scores = np.take_along_axis(scores, looked, axis=1)
@@ -555,13 +534,10 @@ class SubtreeIndex:
             items_out[active] = merged_items
             scores_out[active] = merged_scores
             g_pos = g_end
-        if self._scan_seconds is not None:
-            self._scan_seconds.observe(
-                max(0.0, time.perf_counter() - started)
-            )
-            self._nodes_counter.inc(nodes_scored)
-            self._rows_counter.inc(n_rows)
-        return RetrievalPage(items_out, scores_out, nodes_scored, groups_scanned)
+        return self._observed(
+            started,
+            RetrievalPage(items_out, scores_out, nodes_scored, groups_scanned),
+        )
 
     # ------------------------------------------------------------------
     # Approximate query modes (require approx=True)
@@ -685,21 +661,10 @@ class SubtreeIndex:
     ) -> RetrievalPage:
         """Score only the selected cells; merge under the global order."""
         started = time.perf_counter()
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2:
-            raise ValueError(
-                f"queries must be 2-d, got shape {queries.shape}"
-            )
-        n_rows = queries.shape[0]
-        width = min(int(k), self.n_indexed)
-        items_out = np.full((n_rows, width), PAD_ITEM, dtype=np.int64)
-        scores_out = np.full((n_rows, width), -np.inf)
-        if width <= 0 or n_rows == 0 or self.n_groups == 0:
+        queries, items_out, scores_out = self._open_page(queries, k)
+        n_rows, width = items_out.shape
+        if items_out.size == 0 or self.n_groups == 0:
             return RetrievalPage(items_out, scores_out, 0, 0)
-        if banned is not None and len(banned) != n_rows:
-            raise ValueError(
-                f"got {len(banned)} banned rows for {n_rows} queries"
-            )
         selected = self._select_cells(queries, mode, knob)
         banned_rows = self._resolve_banned(banned, n_rows)
 
@@ -742,17 +707,7 @@ class SubtreeIndex:
                 ) + self._bias[rows]
             nodes_scored += scores.size
             groups_scanned += 1
-            if banned_rows is not None:
-                for slot, row in enumerate(hit):
-                    hits = banned_rows[row]
-                    if hits is None:
-                        continue
-                    at = np.searchsorted(rows, hits)
-                    inside = at < rows.size
-                    at, row_hits = at[inside], hits[inside]
-                    at = at[rows[at] == row_hits]
-                    if at.size:
-                        scores[slot, at] = -np.inf
+            self._mask_banned(scores, rows, banned_rows, hit)
             for slot, row in enumerate(hit):
                 offset = fill[row]
                 pool_items[row, offset : offset + ids.size] = ids
@@ -764,15 +719,62 @@ class SubtreeIndex:
         got = merged_items.shape[1]
         items_out[:, :got] = merged_items
         scores_out[:, :got] = merged_scores
+        return self._observed(
+            started,
+            RetrievalPage(items_out, scores_out, nodes_scored, groups_scanned),
+        )
+
+    # ------------------------------------------------------------------
+    # Shared by the exact and the approximate scans
+    # ------------------------------------------------------------------
+    def _open_page(self, queries: np.ndarray, k: int):
+        """Validated float64 queries plus a blank ``(n_rows, width)`` page."""
+        queries = np.asarray(queries, dtype=np.float64)
+        if queries.ndim != 2:
+            raise ValueError(
+                f"queries must be 2-d, got shape {queries.shape}"
+            )
+        n_rows = queries.shape[0]
+        width = min(int(k), self.n_indexed)
+        items_out = np.full((n_rows, width), PAD_ITEM, dtype=np.int64)
+        scores_out = np.full((n_rows, width), -np.inf)
+        return queries, items_out, scores_out
+
+    @staticmethod
+    def _mask_banned(
+        scores: np.ndarray,
+        rows: np.ndarray,
+        banned_rows: Optional[List[Optional[np.ndarray]]],
+        slots: np.ndarray,
+    ) -> None:
+        """Set banned candidates of one scored block to ``-inf`` in place.
+
+        ``scores[s]`` holds query row ``slots[s]``'s scores for the
+        (ascending) snapshot positions *rows*; ``banned_rows`` is
+        :meth:`_resolve_banned` output.
+        """
+        if banned_rows is None:
+            return
+        for slot, row in enumerate(slots):
+            hits = banned_rows[row]
+            if hits is None:
+                continue
+            at = np.searchsorted(rows, hits)
+            inside = at < rows.size
+            at, hits = at[inside], hits[inside]
+            at = at[rows[at] == hits]
+            if at.size:
+                scores[slot, at] = -np.inf
+
+    def _observed(self, started: float, page: RetrievalPage) -> RetrievalPage:
+        """Record *page*'s scan in the registry series (when one is wired)."""
         if self._scan_seconds is not None:
             self._scan_seconds.observe(
                 max(0.0, time.perf_counter() - started)
             )
-            self._nodes_counter.inc(nodes_scored)
-            self._rows_counter.inc(n_rows)
-        return RetrievalPage(
-            items_out, scores_out, nodes_scored, groups_scanned
-        )
+            self._nodes_counter.inc(page.nodes_scored)
+            self._rows_counter.inc(page.items.shape[0])
+        return page
 
     def _resolve_banned(
         self,
@@ -782,6 +784,10 @@ class SubtreeIndex:
         """Per-row banned ids mapped to sorted snapshot row positions."""
         if banned is None:
             return None
+        if len(banned) != n_rows:
+            raise ValueError(
+                f"got {len(banned)} banned rows for {n_rows} queries"
+            )
         resolved: List[Optional[np.ndarray]] = []
         any_banned = False
         for row_banned in banned:

@@ -4,10 +4,11 @@
 is ``(user, k, history)`` and is routed by user type (Sec. 1's three
 serving situations):
 
-* **known user** — scored against the trained factors, either exactly (one
-  vectorized pass over the items) or through
-  :class:`~repro.core.cascade.CascadedRecommender` when a cascade is
-  configured (Sec. 5.1);
+* **known user** — ranked against the trained factors by the model
+  state's :class:`~repro.serving.retrieval.Retriever` (the dense pass,
+  the pruned index scan or an approximate tier, as ``retrieval=`` says),
+  or through :class:`~repro.core.cascade.CascadedRecommender` when a
+  cascade is configured (Sec. 5.1);
 * **cold user with a history** — folded in against frozen factors via
   :class:`~repro.serving.coldstart.FoldInRecommender`;
 * **cold user without a history** — popularity fallback.
@@ -16,8 +17,8 @@ Known-user query vectors (``v^U_u + ctx``) are memoized in a bounded LRU
 cache, so repeat traffic skips the context reconstruction entirely; every
 request is accounted in :class:`ServingStats` (work in scored nodes, cache
 hits, latency percentiles).  ``recommend_batch`` is the production path: it
-serves all known users of a batch with one BLAS product and one row-wise
-partition.
+serves all known users of a batch with one retriever scan; ``recommend``
+is the same path with one row.
 
 Hot swap
 --------
@@ -47,13 +48,12 @@ import numpy as np
 from repro.core.cascade import CascadedRecommender
 from repro.core.popularity import PopularityModel
 from repro.core.tf_model import TaxonomyFactorModel
-from repro.core.topk import top_k_rows
 from repro.data.transactions import TransactionLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.serving.coldstart import FoldInRecommender
-from repro.serving.index import SubtreeIndex
 from repro.serving.protocol import History
+from repro.serving.retrieval import RetrievalConfig, Retriever
 from repro.taxonomy.version import TaxonomyVersion
 from repro.utils.config import CascadeConfig
 from repro.utils.rng import RngLike
@@ -61,65 +61,6 @@ from repro.utils.rng import RngLike
 
 class ServingError(RuntimeError):
     """A request cannot be routed (e.g. no fallback model configured)."""
-
-
-#: Every known-user ranking strategy the service (and the shard router)
-#: accepts: two exact ("exact" dense pass, "pruned" SubtreeIndex scan with
-#: bit-identical output) and two approximate-but-deterministic ("budget"
-#: bound-ordered scan under a node budget, "ivf" top-nprobe cell probing).
-RETRIEVAL_MODES = ("exact", "pruned", "budget", "ivf")
-
-#: The subset of :data:`RETRIEVAL_MODES` that trades recall for speed.
-#: Same model + same knobs still means byte-identical rankings across
-#: runs and shard counts — approximate refers to recall, not determinism.
-APPROX_RETRIEVAL_MODES = ("budget", "ivf")
-
-
-def _check_retrieval_config(
-    retrieval: str,
-    cascade,
-    budget: Optional[int],
-    nprobe: Optional[int],
-    page_dtype: Optional[str],
-) -> None:
-    """Reject invalid (retrieval, cascade, knob) combinations up front.
-
-    Shared by :class:`RecommenderService` and
-    :class:`~repro.serving.sharding.ShardRouter`, so a fleet and a single
-    process refuse exactly the same configurations with the same message.
-    """
-    if retrieval not in RETRIEVAL_MODES:
-        raise ValueError(
-            f"retrieval must be one of {'/'.join(RETRIEVAL_MODES)}, "
-            f"got {retrieval!r}"
-        )
-    if retrieval != "exact" and cascade is not None:
-        raise ValueError(
-            f"retrieval={retrieval!r} already prunes the catalog scan "
-            "('pruned' exactly, 'budget'/'ivf' approximately) and cannot "
-            "be combined with cascaded (approximate) inference; drop one"
-        )
-    if budget is not None:
-        if retrieval != "budget":
-            raise ValueError(
-                f"budget= only applies to retrieval='budget', "
-                f"got retrieval={retrieval!r}"
-            )
-        if int(budget) < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
-    if nprobe is not None:
-        if retrieval != "ivf":
-            raise ValueError(
-                f"nprobe= only applies to retrieval='ivf', "
-                f"got retrieval={retrieval!r}"
-            )
-        if int(nprobe) < 1:
-            raise ValueError(f"nprobe must be >= 1, got {nprobe}")
-    if page_dtype is not None and retrieval not in APPROX_RETRIEVAL_MODES:
-        raise ValueError(
-            "page_dtype= only applies to the approximate modes "
-            f"{'/'.join(APPROX_RETRIEVAL_MODES)}, got retrieval={retrieval!r}"
-        )
 
 
 #: Sliding window of per-request latencies kept for percentile reporting.
@@ -405,23 +346,20 @@ class ModelState:
         the matrices one batched scoring pass multiplies against.
     generation:
         The cache generation this state was installed at.
-    retrieval:
-        How known users are ranked against the catalog: ``"exact"``
-        (dense pass over every item), ``"pruned"`` (taxonomy-pruned
-        exact retrieval through :attr:`index`), or the approximate —
-        but still deterministic — sub-linear modes ``"budget"`` /
-        ``"ivf"`` (see :data:`RETRIEVAL_MODES`).
-    index:
-        The :class:`~repro.serving.index.SubtreeIndex` built over this
-        state's factor snapshots (``None`` when ``retrieval="exact"``;
-        built with ``approx=True`` for the approximate modes).  Rebuilt
-        by every swap, so it can never serve retired factors.
+    retriever:
+        The :class:`~repro.serving.retrieval.Retriever` built over this
+        state's factor snapshots — the one place known users are ranked
+        against the catalog, whatever the configured mode (its ``config``
+        says which; its ``index`` is the
+        :class:`~repro.serving.index.SubtreeIndex` behind the
+        index-backed modes).  Rebuilt by every swap, so it can never
+        serve retired factors.
     taxonomy_version:
         The :class:`~repro.taxonomy.version.TaxonomyVersion` of the tree
-        this state serves.  Everything in the state — factors, index,
-        cascade — was derived from that one tree generation, so a single
-        attribute read answers "which (model, taxonomy) generation am I
-        on?" coherently even mid-swap.
+        this state serves.  Everything in the state — factors,
+        retriever, cascade — was derived from that one tree generation,
+        so a single attribute read answers "which (model, taxonomy)
+        generation am I on?" coherently even mid-swap.
     """
 
     model: TaxonomyFactorModel
@@ -432,13 +370,23 @@ class ModelState:
     effective: np.ndarray
     bias: np.ndarray
     generation: int
-    retrieval: str = "exact"
-    index: Optional[SubtreeIndex] = None
+    retriever: Retriever
     taxonomy_version: Optional[TaxonomyVersion] = None
 
+    def banned(self, users: Sequence[int]) -> List[np.ndarray]:
+        """Per-row purchased-item exclusion lists for known *users*.
 
-#: Backwards-compatible alias — the state class was private before 1.4.
-_ModelState = ModelState
+        The global dense item indices each user already bought according
+        to :attr:`history_log` (empty when there is no log or the user is
+        beyond it) — what every known-user scan masks to ``-inf``.
+        """
+        log = self.history_log
+        return [
+            log.user_items(int(user))
+            if log is not None and user < log.n_users
+            else np.empty(0, dtype=np.int64)
+            for user in users
+        ]
 
 
 class RecommenderService:
@@ -474,30 +422,17 @@ class RecommenderService:
         :class:`~repro.serving.index.SubtreeIndex` that scans taxonomy
         subtrees in descending score-bound order and stops early, the
         fast path for large catalogs.  ``"budget"`` and ``"ivf"`` are the
-        *sub-linear approximate* tiers for catalogs past ~1M items:
-        budget stops the bound-ordered scan after *budget* catalog nodes
-        per row (the paper's cascaded inference on the index's own
-        ordering), ivf probes only the *nprobe* best taxonomy cells by
-        centroid score.  Both stay deterministic — same model + same
-        knobs means byte-identical rankings across runs and shard counts
-        — and degrade to the exact ranking when their knob is ``None``.
-        All three index-backed modes are incompatible with *cascade*
-        (cascaded inference is its own — approximate — pruning scheme).
-    index_level:
-        Taxonomy depth of the index's subtree grouping (default: auto,
-        about ``sqrt(n_items)`` groups).  Ignored when
-        ``retrieval="exact"``.
-    budget:
-        Per-row node budget for ``retrieval="budget"`` (``None`` = scan
-        everything, i.e. exact results).  Rejected with any other mode.
-    nprobe:
-        Cells probed per row for ``retrieval="ivf"`` (``None`` = probe
-        everything, i.e. exact results).  Rejected with any other mode.
-    page_dtype:
-        Optional compact factor-page dtype (``"float32"``/``"float16"``)
-        for the approximate scans — cache-friendlier blocked GEMM at the
-        cost of bit-identity with the float64 dense pass (rankings stay
-        deterministic).  Only valid with ``"budget"`` / ``"ivf"``.
+        *sub-linear approximate* tiers for catalogs past ~1M items; both
+        stay deterministic — same model + same knobs means byte-identical
+        rankings across runs and shard counts — and degrade to the exact
+        ranking when their knob is ``None``.  All three index-backed
+        modes are incompatible with *cascade* (cascaded inference is its
+        own — approximate — pruning scheme).
+    index_level, budget, nprobe, page_dtype:
+        The mode's knobs.  They fold, with *retrieval*, into one
+        validated :class:`~repro.serving.retrieval.RetrievalConfig`
+        (kept as :attr:`retrieval`), which documents each and rejects
+        the combinations that make no sense.
     registry:
         Optional shared :class:`~repro.obs.metrics.MetricsRegistry` the
         service's :class:`ServingStats` records into; a private registry
@@ -548,12 +483,9 @@ class RecommenderService:
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ):
-        _check_retrieval_config(retrieval, cascade, budget, nprobe, page_dtype)
-        self.retrieval = retrieval
-        self.index_level = index_level
-        self.budget = None if budget is None else int(budget)
-        self.nprobe = None if nprobe is None else int(nprobe)
-        self.page_dtype = page_dtype
+        self.retrieval = RetrievalConfig(
+            retrieval, budget, nprobe, page_dtype, index_level, cascade=cascade
+        )
         self.fold_in_steps = int(fold_in_steps)
         self.fold_in_seed = fold_in_seed
         self.query_cache = QueryVectorCache(cache_size)
@@ -590,20 +522,6 @@ class RecommenderService:
         )
         effective = factor_set.effective_items()
         bias = factor_set.bias_of_items()
-        index = None
-        if self.retrieval != "exact":
-            # Rebuilt on every swap/refresh: the index snapshots the
-            # factors, so a stale index could silently serve a retired
-            # model long after the dense path moved on.
-            index = SubtreeIndex(
-                effective,
-                bias,
-                model.taxonomy,
-                level=self.index_level,
-                registry=self._stats.registry,
-                approx=self.retrieval in APPROX_RETRIEVAL_MODES,
-                page_dtype=self.page_dtype,
-            )
         return ModelState(
             model=model,
             history_log=history_log,
@@ -613,8 +531,13 @@ class RecommenderService:
             effective=effective,
             bias=bias,
             generation=generation,
-            retrieval=self.retrieval,
-            index=index,
+            retriever=Retriever(
+                self.retrieval,
+                effective,
+                bias,
+                model.taxonomy,
+                registry=self._stats.registry,
+            ),
             taxonomy_version=model.taxonomy.version,
         )
 
@@ -771,11 +694,7 @@ class RecommenderService:
 
     def is_known(self, user: Optional[int]) -> bool:
         """Whether *user* indexes a trained user-factor row."""
-        return self._known(self._state, user)
-
-    @staticmethod
-    def _known(state: ModelState, user: Optional[int]) -> bool:
-        return user is not None and 0 <= int(user) < state.model.n_users
+        return user is not None and 0 <= int(user) < self._state.model.n_users
 
     # ------------------------------------------------------------------
     # Single-request path
@@ -794,86 +713,23 @@ class RecommenderService:
         """
         state = self._state  # one read: the whole request sees one model
         started = time.perf_counter()
-        if self._known(state, user):
-            top = self._recommend_known(state, int(user), k, history)
-            self._stats.add(known_user_requests=1)
-        elif history:
-            top = state.fold_in.recommend(k=k, history=history)
-            self._stats.add(nodes_scored=state.model.n_items)
-            self._stats.add(fold_in_requests=1)
-        else:
-            top = self._fallback(state, k)
-            self._stats.add(fallback_requests=1)
+        row = self._serve_batch(
+            state, [user], k, None if history is None else [history]
+        )[0]
         self._stats.record_latency(time.perf_counter() - started)
-        return top
-
-    def _recommend_known(
-        self, state: ModelState, user: int, k: int, history: Optional[History]
-    ) -> np.ndarray:
-        if state.cascade is not None:
-            result = state.cascade.rank(user, history)
-            self._stats.add(nodes_scored=result.nodes_scored)
-            items = result.items
-            banned = self._banned_items(state, user)
-            if banned.size:
-                keep = ~np.isin(items, banned)
-                items = items[keep]
-            return items[:k]
-        query = self._query_vector(state, user, history)
-        banned = self._banned_items(state, user)
-        if state.index is not None:
-            page = self._index_page(state, query[None, :], k, [banned])
-            self._stats.add(nodes_scored=page.nodes_scored)
-            row = page.items[0]
-            return row[row >= 0]
-        scores = state.effective @ query + state.bias
-        self._stats.add(nodes_scored=scores.size)
-        if banned.size:
-            scores[banned] = -np.inf
-        row = top_k_rows(scores[None, :], k)[0]
         return row[row >= 0]
 
-    def _index_page(
-        self,
-        state: ModelState,
-        queries: np.ndarray,
-        k: int,
-        banned: List[np.ndarray],
-    ):
-        """One index scan in the state's retrieval mode (incl. knobs)."""
-        if state.retrieval == "budget":
-            return state.index.top_k_budget(
-                queries, k, banned=banned, budget=self.budget
-            )
-        if state.retrieval == "ivf":
-            return state.index.top_k_ivf(
-                queries, k, banned=banned, nprobe=self.nprobe
-            )
-        return state.index.top_k(queries, k, banned=banned)
-
-    def _query_vector(
-        self, state: ModelState, user: int, history: Optional[History]
+    def _cascade_known(
+        self, state: ModelState, user: int, k: int, history: Optional[History]
     ) -> np.ndarray:
-        if history is not None:
-            # Explicit histories bypass the cache: the vector is
-            # request-specific, not a property of the user.
-            self._stats.add(cache_misses=1)
-            return state.model.query_vector(user, history)
-        cached = self.query_cache.get(user, state.generation)
-        if cached is not None:
-            self._stats.add(cache_hits=1)
-            return cached
-        self._stats.add(cache_misses=1)
-        vector = state.model.query_vector(user)
-        self.query_cache.put(user, vector, state.generation)
-        return vector
-
-    @staticmethod
-    def _banned_items(state: ModelState, user: int) -> np.ndarray:
-        log = state.history_log
-        if log is None or user >= log.n_users:
-            return np.empty(0, dtype=np.int64)
-        return log.user_items(user)
+        result = state.cascade.rank(user, history)
+        self._stats.add(nodes_scored=result.nodes_scored)
+        items = result.items
+        banned = state.banned([user])[0]
+        if banned.size:
+            keep = ~np.isin(items, banned)
+            items = items[keep]
+        return items[:k]
 
     def _fallback(self, state: ModelState, k: int) -> np.ndarray:
         if state.popularity is None:
@@ -940,7 +796,7 @@ class RecommenderService:
             if state.cascade is not None:
                 for row in known_rows:
                     history = None if histories is None else histories[row]
-                    top = self._recommend_known(
+                    top = self._cascade_known(
                         state, int(user_ids[row]), width, history
                     )
                     out[row, : top.size] = top
@@ -975,11 +831,8 @@ class RecommenderService:
         histories: Optional[List[Optional[History]]],
         width: int,
     ) -> np.ndarray:
-        """Known-user scoring: cache-assisted queries, then one BLAS
-        product plus one row-wise partition (``retrieval="exact"``), a
-        taxonomy-pruned scan returning the identical rankings
-        (``retrieval="pruned"``), or a budgeted/IVF approximate scan
-        (``retrieval="budget"`` / ``"ivf"``)."""
+        """Known-user scoring: cache-assisted queries, then one scan of
+        the state's retriever in whatever mode it was configured with."""
         factors = state.effective.shape[1]
         queries = np.empty((users.size, factors))
         miss_slots: List[int] = []
@@ -1010,14 +863,6 @@ class RecommenderService:
                     )
             self._stats.add(cache_misses=len(miss_slots))
 
-        banned = [self._banned_items(state, int(user)) for user in users]
-        if state.index is not None:
-            page = self._index_page(state, queries, width, banned)
-            self._stats.add(nodes_scored=page.nodes_scored)
-            return page.items
-        scores = queries @ state.effective.T + state.bias[None, :]
-        self._stats.add(nodes_scored=scores.size)
-        for row, row_banned in enumerate(banned):
-            if row_banned.size:
-                scores[row, row_banned] = -np.inf
-        return top_k_rows(scores, width)
+        page = state.retriever.scan(queries, width, state.banned(users))
+        self._stats.add(nodes_scored=page.nodes_scored)
+        return page.items

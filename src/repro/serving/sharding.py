@@ -105,17 +105,13 @@ import numpy as np
 
 from repro.core.factors import FactorSet
 from repro.core.popularity import PopularityModel
-from repro.core.topk import PAD_ITEM, merge_top_k_rows, top_k_rows
+from repro.core.topk import PAD_ITEM, merge_top_k_rows
 from repro.data.transactions import TransactionLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span, SpanContext, Tracer
-from repro.serving.index import SubtreeIndex
 from repro.serving.protocol import History
-from repro.serving.service import (
-    APPROX_RETRIEVAL_MODES,
-    RecommenderService,
-    _check_retrieval_config,
-)
+from repro.serving.retrieval import RetrievalConfig, Retriever
+from repro.serving.service import RecommenderService
 from repro.taxonomy.tree import Taxonomy
 from repro.utils.config import CascadeConfig, TrainConfig
 from repro.utils.rng import RngLike
@@ -141,12 +137,9 @@ class DeadlineExceeded(ShardingError):
 class ShardRequest:
     """One versioned batch/page request payload on a shard pipe.
 
-    Replaces the positional ``(users, k, histories[, span_context])``
-    tuples of earlier revisions: adding a field (``deadline`` arrived
-    this way) no longer reshuffles positional slots, and ``version``
-    lets a future revision change semantics detectably.  Workers still
-    accept the legacy tuples, so a mixed-revision router/worker pair
-    fails soft rather than misinterpreting positions.
+    The only payload shape the pipe protocol speaks: adding a field
+    (``deadline`` arrived this way) never reshuffles positional slots,
+    and ``version`` lets a future revision change semantics detectably.
 
     Attributes
     ----------
@@ -516,11 +509,8 @@ class _WorkerSpec:
     fold_in_steps: int
     fold_in_seed: RngLike
     cache_size: int
+    retrieval: RetrievalConfig
     payload: _ModelPayload
-    retrieval: str = "exact"
-    budget: Optional[int] = None
-    nprobe: Optional[int] = None
-    page_dtype: Optional[str] = None
 
 
 def _slice_bounds(shard_index: int, n_shards: int, n_items: int) -> Tuple[int, int]:
@@ -539,16 +529,16 @@ class _WorkerState:
         spec: _WorkerSpec,
         service: RecommenderService,
         segments: List[shared_memory.SharedMemory],
-        slice_index: Optional[SubtreeIndex] = None,
+        retriever: Optional[Retriever] = None,
     ):
         self.spec = spec
         self.service = service
         self.segments = segments
-        #: Item-partitioned pruned retrieval over this shard's catalog
-        #: slice (None in the user partition / exact mode).  Rebuilt with
-        #: the rest of the state on every swap, so it always covers the
-        #: live generation's factors.
-        self.slice_index = slice_index
+        #: Item partition only: the retriever over this shard's catalog
+        #: slice (user-partition shards rank through their service's).
+        #: Rebuilt with the rest of the state on every swap, so it always
+        #: covers the live generation's factors.
+        self.retriever = retriever
 
     @classmethod
     def build(
@@ -577,6 +567,11 @@ class _WorkerState:
         model._factors = factor_set
         if history_log is not None:
             model.attach_log(history_log)
+        # In the item partition the service only ever serves cold users
+        # (known traffic goes through page()), so a full-catalog index
+        # would be dead weight; the slice retriever below carries the
+        # configured mode there instead.
+        served = spec.retrieval if spec.partition == "users" else RetrievalConfig()
         service = RecommenderService(
             model,
             history_log=history_log,
@@ -585,35 +580,26 @@ class _WorkerState:
             fold_in_steps=spec.fold_in_steps,
             fold_in_seed=spec.fold_in_seed,
             cache_size=spec.cache_size,
-            # In the item partition the service only ever serves cold
-            # users (known traffic goes through page()), so the full
-            # catalog index would be dead weight; the slice index below
-            # carries the pruning there instead.
-            retrieval=spec.retrieval if spec.partition == "users" else "exact",
-            budget=spec.budget if spec.partition == "users" else None,
-            nprobe=spec.nprobe if spec.partition == "users" else None,
-            page_dtype=spec.page_dtype if spec.partition == "users" else None,
+            retrieval=served.mode,
+            budget=served.budget,
+            nprobe=served.nprobe,
+            page_dtype=served.page_dtype,
         )
-        slice_index = None
-        if spec.partition == "items" and spec.retrieval != "exact":
+        retriever = None
+        if spec.partition == "items":
             state = service.model_state
-            lo, hi = _slice_bounds(
-                spec.shard_index, spec.n_shards, state.model.n_items
-            )
-            # Approximate slice indexes still rank the FULL catalog's
-            # cells (global statistics over the shared factor pages), so
-            # every shard selects the same cells per row and the merged
-            # pages reproduce the single-process ranking byte-for-byte —
-            # each slice simply serves its share of the global budget.
-            slice_index = SubtreeIndex(
+            retriever = Retriever(
+                spec.retrieval,
                 state.effective,
                 state.bias,
                 payload.taxonomy,
-                items=np.arange(lo, hi, dtype=np.int64),
-                approx=spec.retrieval in APPROX_RETRIEVAL_MODES,
-                page_dtype=spec.page_dtype,
+                items=range(
+                    *_slice_bounds(
+                        spec.shard_index, spec.n_shards, state.model.n_items
+                    )
+                ),
             )
-        return cls(spec, service, segments, slice_index)
+        return cls(spec, service, segments, retriever)
 
     def swapped(self, payload: _ModelPayload) -> "_WorkerState":
         """Install *payload* as the new generation; retire this one."""
@@ -630,7 +616,7 @@ class _WorkerState:
         import gc
 
         self.service = None
-        self.slice_index = None
+        self.retriever = None
         gc.collect()  # the mmap stays pinned while ndarray views survive
         for segment in self.segments:
             try:
@@ -641,31 +627,6 @@ class _WorkerState:
 
     # -- request handlers ------------------------------------------------
     @staticmethod
-    def _unpack(
-        payload,
-    ) -> Tuple[np.ndarray, int, Optional[list], Optional[SpanContext], Optional[float]]:
-        """Normalize a request payload to its five fields.
-
-        Current routers send a :class:`ShardRequest`; payloads from
-        earlier revisions arrive as ``(users, k, histories)`` or
-        ``(users, k, histories, span_context)`` tuples.  Accepting all
-        three keeps the pipe protocol compatible in either direction.
-        """
-        if isinstance(payload, ShardRequest):
-            return (
-                payload.users,
-                payload.k,
-                payload.histories,
-                payload.span_context,
-                payload.deadline,
-            )
-        if len(payload) == 4:
-            users, k, histories, ctx = payload
-            return users, k, histories, ctx, None
-        users, k, histories = payload
-        return users, k, histories, None, None
-
-    @staticmethod
     def _check_deadline(deadline: Optional[float]) -> None:
         """Refuse work whose deadline passed while it sat in the pipe."""
         if deadline is not None and time.monotonic() > deadline:
@@ -674,100 +635,48 @@ class _WorkerState:
                 "before the shard dequeued it"
             )
 
-    def _traced(self, ctx: SpanContext, tracer: Tracer, name: str) -> Span:
-        """Open a worker-side child span under the router's batch span."""
-        span = tracer.child_from_context(
-            ctx, name, tags={"shard": self.spec.shard_index}
-        )
-        return span
-
-    def batch(self, payload, tracer: Optional[Tracer] = None):
-        users, k, histories, ctx, deadline = self._unpack(payload)
-        self._check_deadline(deadline)
+    def _serve(self, request: ShardRequest, tracer: Optional[Tracer], handler):
+        """Deadline check, then ``handler(users, k, histories)`` — under
+        ``queue_wait`` + ``scan`` spans (returned as records alongside the
+        result) when the router stamped a context and a tracer is wired."""
+        self._check_deadline(request.deadline)
+        ctx = request.span_context
         if ctx is None or tracer is None:
-            return self.service.recommend_batch(users, k=k, histories=histories)
+            return handler(request.users, request.k, request.histories)
         # Queue wait: time between the router stamping the context and
         # this worker picking the message off its FIFO pipe.
         wait = ctx.queue_wait()
-        queued = self._traced(ctx, tracer, "queue_wait")
+        tags = {"shard": self.spec.shard_index}
+        queued = tracer.child_from_context(ctx, "queue_wait", tags=tags)
         queued.duration_s = wait
         queued.finish()
-        with self._traced(ctx, tracer, "scan") as scan:
-            result = self.service.recommend_batch(
-                users, k=k, histories=histories
-            )
-            scan.set_tag("requests", int(np.asarray(users).size))
+        with tracer.child_from_context(ctx, "scan", tags=tags) as scan:
+            result = handler(request.users, request.k, request.histories)
+            scan.set_tag("requests", int(np.asarray(request.users).size))
         records = [span.as_dict() for span in tracer.buffer.drain()]
         return result, records
 
-    def page(self, payload, tracer: Optional[Tracer] = None):
+    def batch(self, request: ShardRequest, tracer: Optional[Tracer] = None):
+        return self._serve(request, tracer, self.service.recommend_batch)
+
+    def page(self, request: ShardRequest, tracer: Optional[Tracer] = None):
         """Item-partitioned scoring: this shard's slice of the catalog."""
-        users, k, histories, ctx, deadline = self._unpack(payload)
-        self._check_deadline(deadline)
-        if ctx is not None and tracer is not None:
-            wait = ctx.queue_wait()
-            queued = self._traced(ctx, tracer, "queue_wait")
-            queued.duration_s = wait
-            queued.finish()
-            with self._traced(ctx, tracer, "scan"):
-                page = self._score_page(users, k, histories)
-            records = [span.as_dict() for span in tracer.buffer.drain()]
-            return page, records
-        return self._score_page(users, k, histories)
+        return self._serve(request, tracer, self._score_page)
 
     def _score_page(
         self, users: np.ndarray, k: int, histories: Optional[list]
     ) -> Tuple[np.ndarray, np.ndarray]:
         started = time.perf_counter()
         state = self.service.model_state
-        lo, hi = _slice_bounds(
-            self.spec.shard_index, self.spec.n_shards, state.model.n_items
-        )
         users = np.asarray(users, dtype=np.int64)
         queries = state.model.query_matrix(users, histories)
-        log = state.history_log
-        width = min(int(k), hi - lo)
-        if self.slice_index is not None:
-            banned = [
-                log.user_items(int(user))
-                if log is not None and user < log.n_users
-                else np.empty(0, dtype=np.int64)
-                for user in users
-            ]
-            if self.spec.retrieval == "budget":
-                result = self.slice_index.top_k_budget(
-                    queries, width, banned=banned, budget=self.spec.budget
-                )
-            elif self.spec.retrieval == "ivf":
-                result = self.slice_index.top_k_ivf(
-                    queries, width, banned=banned, nprobe=self.spec.nprobe
-                )
-            else:
-                result = self.slice_index.top_k(queries, width, banned=banned)
-            items, page_scores = result.items, result.scores
-            nodes_scored = result.nodes_scored
-        else:
-            scores = queries @ state.effective[lo:hi].T + state.bias[None, lo:hi]
-            if log is not None:
-                for row, user in enumerate(users):
-                    if user < log.n_users:
-                        banned_row = log.user_items(int(user))
-                        banned_row = banned_row[
-                            (banned_row >= lo) & (banned_row < hi)
-                        ]
-                        if banned_row.size:
-                            scores[row, banned_row - lo] = -np.inf
-            local = top_k_rows(scores, width)
-            page_scores = np.take_along_axis(
-                scores, np.clip(local, 0, None), axis=1
-            )
-            page_scores[local < 0] = -np.inf
-            items = np.where(local >= 0, local + lo, PAD_ITEM)
-            nodes_scored = int(scores.size)
+        page = self.retriever.scan(queries, k, state.banned(users))
         stats = self.service.stats
-        stats.add(known_user_requests=int(users.size), nodes_scored=nodes_scored)
+        stats.add(
+            known_user_requests=int(users.size), nodes_scored=page.nodes_scored
+        )
         stats.record_latency(time.perf_counter() - started, count=int(users.size))
-        return items, page_scores
+        return page.items, page.scores
 
     def stats(self) -> Dict[str, float]:
         payload = self.service.stats.as_dict()
@@ -987,15 +896,10 @@ class ShardRouter:
         a single process — each slice serves its share of the global
         budget/probe set.  Every index is rebuilt inside each worker on
         every :meth:`swap_model`, so hot swaps stay coherent.
-    budget:
-        Per-row node budget for ``retrieval="budget"`` (``None`` = scan
-        everything, exact results); rejected with any other mode.
-    nprobe:
-        Cells probed per row for ``retrieval="ivf"`` (``None`` = probe
-        everything, exact results); rejected with any other mode.
-    page_dtype:
-        Optional compact factor-page dtype (``"float32"``/``"float16"``)
-        for the approximate scans; only valid with ``"budget"``/``"ivf"``.
+    budget, nprobe, page_dtype:
+        The mode's knobs; with *retrieval* they fold into one validated
+        :class:`~repro.serving.retrieval.RetrievalConfig` (kept as
+        :attr:`retrieval`), exactly as on the single-process service.
     mp_context:
         A :mod:`multiprocessing` start-method name or context (defaults
         to the platform default — ``fork`` on Linux, ``spawn`` on
@@ -1014,7 +918,7 @@ class ShardRouter:
         and adopts the workers' ``queue_wait`` / ``scan`` child spans
         back into its buffer so the whole request stitches into one tree
         (:func:`repro.obs.tracing.stitch`).  ``None`` (default) keeps
-        the classic 3-tuple pipe payloads and zero tracing overhead.
+        the pipe payloads context-free and tracing overhead at zero.
 
     Notes
     -----
@@ -1055,13 +959,11 @@ class ShardRouter:
                 "cascaded inference prunes whole categories and cannot be "
                 "combined with item-sliced shards; use partition='users'"
             )
-        _check_retrieval_config(retrieval, cascade, budget, nprobe, page_dtype)
+        self.retrieval = RetrievalConfig(
+            retrieval, budget, nprobe, page_dtype, cascade=cascade
+        )
         self.n_shards = int(n_shards)
         self.partition = partition
-        self.retrieval = retrieval
-        self.budget = None if budget is None else int(budget)
-        self.nprobe = None if nprobe is None else int(nprobe)
-        self.page_dtype = page_dtype
         self.request_timeout = float(request_timeout)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
@@ -1111,11 +1013,8 @@ class ShardRouter:
                     fold_in_steps=fold_in_steps,
                     fold_in_seed=fold_in_seed,
                     cache_size=cache_size,
+                    retrieval=self.retrieval,
                     payload=payload,
-                    retrieval=retrieval,
-                    budget=self.budget,
-                    nprobe=self.nprobe,
-                    page_dtype=page_dtype,
                 )
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 process = ctx.Process(
@@ -1596,6 +1495,7 @@ class ShardRouter:
     def __repr__(self) -> str:
         return (
             f"ShardRouter(n_shards={self.n_shards}, "
-            f"partition={self.partition!r}, retrieval={self.retrieval!r}, "
+            f"partition={self.partition!r}, "
+            f"retrieval={self.retrieval.mode!r}, "
             f"generation={self._generation})"
         )

@@ -12,6 +12,7 @@ from repro.core.tf_model import TaxonomyFactorModel
 from repro.data.transactions import TransactionLog
 from repro.taxonomy.generator import complete_taxonomy
 from repro.utils.config import CascadeConfig, TrainConfig
+from repro.train import train_model
 
 
 @pytest.fixture(scope="module")
@@ -22,9 +23,12 @@ def model():
         [[int(rng.integers(0, 27))] for _ in range(2)] for _ in range(60)
     ]
     log = TransactionLog(rows, n_items=27)
-    return TaxonomyFactorModel(
-        taxonomy, TrainConfig(factors=4, epochs=4, taxonomy_levels=3, seed=0)
-    ).fit(log)
+    return train_model(
+        TaxonomyFactorModel(
+            taxonomy, TrainConfig(factors=4, epochs=4, taxonomy_levels=3, seed=0)
+        ),
+        log,
+    )
 
 
 class TestExactness:

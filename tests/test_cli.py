@@ -289,18 +289,15 @@ class TestServeBatch:
         exactness guarantee) and cannot distinguish the engines."""
         import argparse
 
-        from repro.cli import _serving_retrieval
+        from repro.cli import _retrieval_kwargs
 
-        flag = lambda value: argparse.Namespace(retrieval=value)
-        assert _serving_retrieval(flag(None), {}) == "exact"
-        assert (
-            _serving_retrieval(flag(None), {"retrieval": "pruned"})
-            == "pruned"
-        )
-        assert (
-            _serving_retrieval(flag("exact"), {"retrieval": "pruned"})
-            == "exact"
-        )
+        def resolved(flag, extra):
+            args = argparse.Namespace(retrieval=flag, budget=None, nprobe=None)
+            return _retrieval_kwargs(args, extra)["retrieval"]
+
+        assert resolved(None, {}) == "exact"
+        assert resolved(None, {"retrieval": "pruned"}) == "pruned"
+        assert resolved("exact", {"retrieval": "pruned"}) == "exact"
 
     def test_bad_bundle_retrieval_hint_rejected(
         self, workspace, capsys, tmp_path
@@ -396,32 +393,7 @@ class TestServeBatch:
             )
 
 
-class TestLegacyModelShim:
-    def test_reads_npz_with_meta_sidecar(self, workspace, capsys):
-        directory, model_path = workspace
-        from repro.serving.bundle import ModelBundle
-
-        bundle = ModelBundle.load(model_path)
-        legacy_path = directory / "legacy.npz"
-        bundle.model.factor_set.save(legacy_path)
-        Path(str(legacy_path) + ".meta.json").write_text(
-            json.dumps({"levels": 4, "markov": 0, "mu": 0.5, "seed": 0})
-        )
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert (
-                main(
-                    [
-                        "evaluate",
-                        "--data-dir",
-                        str(directory),
-                        "--model",
-                        str(legacy_path),
-                    ]
-                )
-                == 0
-            )
-        assert "AUC=" in capsys.readouterr().out
-
+class TestModelPathErrors:
     def test_baseline_bundle_rejected_cleanly(self, workspace, tmp_path):
         directory, _ = workspace
         from repro import PopularityModel, TransactionLog
@@ -442,8 +414,12 @@ class TestLegacyModelShim:
                 ]
             )
 
-    def test_missing_model_path(self, workspace):
+    @pytest.mark.parametrize("name", ["nope", "bare.npz"])
+    def test_missing_model_path(self, workspace, name):
+        """A path that is not a bundle directory — absent, or a bare
+        factor file (the pre-2.0 artifact) — is refused up front."""
         directory, _ = workspace
+        (directory / "bare.npz").write_bytes(b"")
         with pytest.raises(SystemExit, match="no model bundle"):
             main(
                 [
@@ -451,7 +427,7 @@ class TestLegacyModelShim:
                     "--data-dir",
                     str(directory),
                     "--model",
-                    str(directory / "nope"),
+                    str(directory / name),
                 ]
             )
 

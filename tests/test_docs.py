@@ -88,3 +88,24 @@ def test_public_api_is_documented(module):
     """Every public name in the audited packages carries a docstring."""
     missing = _missing_docstrings(Path(module.__file__))
     assert not missing, "undocumented public API:\n" + "\n".join(missing)
+
+
+def test_package_version_is_single_sourced():
+    """``pyproject.toml`` reads the version from ``repro.__version__``.
+
+    A literal ``version =`` under ``[project]`` drifts from the package
+    (it said 1.6.0 while the code said 1.9.0), and an installed wheel
+    then misreports itself.
+    """
+    try:
+        import tomllib
+    except ImportError:  # Python 3.10
+        import tomli as tomllib
+
+    path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    config = tomllib.loads(path.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "repro.__version__"
+    }

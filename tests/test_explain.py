@@ -8,6 +8,7 @@ from repro.core.tf_model import TaxonomyFactorModel
 from repro.data.transactions import TransactionLog
 from repro.taxonomy.generator import complete_taxonomy
 from repro.utils.config import TrainConfig
+from repro.train import train_model
 
 
 @pytest.fixture(scope="module")
@@ -25,19 +26,25 @@ def log():
 
 @pytest.fixture(scope="module")
 def plain_model(taxonomy, log):
-    return TaxonomyFactorModel(
-        taxonomy, TrainConfig(factors=4, epochs=4, taxonomy_levels=3, seed=0)
-    ).fit(log)
+    return train_model(
+        TaxonomyFactorModel(
+            taxonomy, TrainConfig(factors=4, epochs=4, taxonomy_levels=3, seed=0)
+        ),
+        log,
+    )
 
 
 @pytest.fixture(scope="module")
 def markov_model(taxonomy, log):
-    return TaxonomyFactorModel(
-        taxonomy,
-        TrainConfig(
-            factors=4, epochs=4, taxonomy_levels=3, markov_order=2, seed=0
+    return train_model(
+        TaxonomyFactorModel(
+            taxonomy,
+            TrainConfig(
+                factors=4, epochs=4, taxonomy_levels=3, markov_order=2, seed=0
+            ),
         ),
-    ).fit(log)
+        log,
+    )
 
 
 class TestDecompositionExactness:

@@ -19,6 +19,7 @@ from repro.taxonomy.generator import complete_taxonomy
 from repro.taxonomy.io import load_taxonomy
 from repro.taxonomy.tree import Taxonomy, TaxonomyError
 from repro.utils.config import CascadeConfig, TrainConfig
+from repro.train import train_model
 
 
 class TestCorruptedFiles:
@@ -64,9 +65,12 @@ class TestDegenerateData:
     def test_single_user_single_item_universe(self):
         taxonomy = Taxonomy([-1, 0, 0])  # root + two items
         log = TransactionLog([[[0]]], n_items=2)
-        model = TaxonomyFactorModel(
-            taxonomy, TrainConfig(factors=2, epochs=2, taxonomy_levels=2, seed=0)
-        ).fit(log)
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy, TrainConfig(factors=2, epochs=2, taxonomy_levels=2, seed=0)
+            ),
+            log,
+        )
         scores = model.score_items(0)
         assert scores.shape == (2,)
         assert np.all(np.isfinite(scores))
@@ -74,50 +78,65 @@ class TestDegenerateData:
     def test_user_with_identical_repeated_baskets(self):
         taxonomy = complete_taxonomy((2,), items_per_leaf=2)
         log = TransactionLog([[[0, 1]] * 5], n_items=4)
-        model = TaxonomyFactorModel(
-            taxonomy,
-            TrainConfig(
-                factors=2, epochs=2, taxonomy_levels=2, markov_order=2, seed=0
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy,
+                TrainConfig(
+                    factors=2, epochs=2, taxonomy_levels=2, markov_order=2, seed=0
+                ),
             ),
-        ).fit(log)
+            log,
+        )
         assert np.isfinite(model.score_items(0)).all()
 
     def test_markov_order_longer_than_any_history(self):
         taxonomy = complete_taxonomy((2,), items_per_leaf=2)
         log = TransactionLog([[[0]], [[1]]], n_items=4)
-        model = TaxonomyFactorModel(
-            taxonomy,
-            TrainConfig(
-                factors=2, epochs=2, taxonomy_levels=2, markov_order=5, seed=0
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy,
+                TrainConfig(
+                    factors=2, epochs=2, taxonomy_levels=2, markov_order=5, seed=0
+                ),
             ),
-        ).fit(log)
+            log,
+        )
         assert np.isfinite(model.score_items(0)).all()
 
     def test_taxonomy_levels_far_beyond_depth(self):
         taxonomy = complete_taxonomy((2,), items_per_leaf=2)
         log = TransactionLog([[[0], [3]]], n_items=4)
-        model = TaxonomyFactorModel(
-            taxonomy,
-            TrainConfig(factors=2, epochs=3, taxonomy_levels=9, seed=0),
-        ).fit(log)
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy,
+                TrainConfig(factors=2, epochs=3, taxonomy_levels=9, seed=0),
+            ),
+            log,
+        )
         # Pad rows must stay pinned even with mostly-padded chains.
         assert np.all(model.factor_set.w[-1] == 0)
 
     def test_empty_training_log(self):
         taxonomy = complete_taxonomy((2,), items_per_leaf=2)
         log = TransactionLog([], n_items=4)
-        model = TaxonomyFactorModel(
-            taxonomy, TrainConfig(factors=2, epochs=2, taxonomy_levels=2, seed=0)
-        ).fit(log)
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy, TrainConfig(factors=2, epochs=2, taxonomy_levels=2, seed=0)
+            ),
+            log,
+        )
         # Nothing to learn, but the model must still score.
         assert model.score_items(0).shape == (4,)
 
     def test_zero_epochs_fit(self):
         taxonomy = complete_taxonomy((2,), items_per_leaf=2)
         log = TransactionLog([[[0]]], n_items=4)
-        model = TaxonomyFactorModel(
-            taxonomy, TrainConfig(factors=2, epochs=0, taxonomy_levels=2, seed=0)
-        ).fit(log)
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy, TrainConfig(factors=2, epochs=0, taxonomy_levels=2, seed=0)
+            ),
+            log,
+        )
         assert model.history_ == []
         assert np.isfinite(model.score_items(0)).all()
 
@@ -159,11 +178,14 @@ class TestMisuse:
         rng = np.random.default_rng(0)
         rows = [[[int(rng.integers(0, 8))] for _ in range(3)] for _ in range(30)]
         log = TransactionLog(rows, n_items=8)
-        model = TaxonomyFactorModel(
-            taxonomy,
-            TrainConfig(
-                factors=4, epochs=10, learning_rate=2.0, taxonomy_levels=3, seed=0
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy,
+                TrainConfig(
+                    factors=4, epochs=10, learning_rate=2.0, taxonomy_levels=3, seed=0
+                ),
             ),
-        ).fit(log)
+            log,
+        )
         assert np.isfinite(model.factor_set.w).all()
         assert np.isfinite(model.score_items(0)).all()

@@ -17,6 +17,7 @@ from repro import (
     evaluate_model,
 )
 from repro.utils.config import TrainConfig
+from repro.train import train_model
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +64,12 @@ class TestTaxonomyDepth:
     def test_full_depth_beats_flat(self, dataset, split, train_config):
         aucs = {}
         for levels in (1, 4):
-            model = TaxonomyFactorModel(
-                dataset.taxonomy, train_config, taxonomy_levels=levels
-            ).fit(split.train)
+            model = train_model(
+                TaxonomyFactorModel(
+                    dataset.taxonomy, train_config, taxonomy_levels=levels
+                ),
+                split.train,
+            )
             aucs[levels] = evaluate_model(model, split).auc
         assert aucs[4] > aucs[1]
 
@@ -93,12 +97,18 @@ class TestSiblingTraining:
     """Fig. 7(d): sibling training does not hurt, usually helps."""
 
     def test_sibling_training_quality(self, dataset, split, train_config):
-        without = TaxonomyFactorModel(
-            dataset.taxonomy, train_config, sibling_ratio=0.0
-        ).fit(split.train)
-        with_sib = TaxonomyFactorModel(
-            dataset.taxonomy, train_config, sibling_ratio=0.5
-        ).fit(split.train)
+        without = train_model(
+            TaxonomyFactorModel(
+                dataset.taxonomy, train_config, sibling_ratio=0.0
+            ),
+            split.train,
+        )
+        with_sib = train_model(
+            TaxonomyFactorModel(
+                dataset.taxonomy, train_config, sibling_ratio=0.5
+            ),
+            split.train,
+        )
         auc_without = evaluate_model(without, split).auc
         auc_with = evaluate_model(with_sib, split).auc
         assert auc_with > auc_without - 0.02

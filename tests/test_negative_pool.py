@@ -10,6 +10,7 @@ from repro.core.tf_model import TaxonomyFactorModel
 from repro.data.transactions import TransactionLog
 from repro.taxonomy.generator import complete_taxonomy
 from repro.utils.config import TrainConfig
+from repro.train import train_model
 
 
 @pytest.fixture()
@@ -100,11 +101,14 @@ class TestTrainingEffect:
         assert np.all(fs.bias[unseen_nodes] < 0)
 
     def test_model_trains_with_purchased_pool(self, taxonomy, log):
-        model = TaxonomyFactorModel(
-            taxonomy,
-            TrainConfig(
-                factors=4, epochs=3, taxonomy_levels=3,
-                negative_pool="purchased", seed=0,
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy,
+                TrainConfig(
+                    factors=4, epochs=3, taxonomy_levels=3,
+                    negative_pool="purchased", seed=0,
+                ),
             ),
-        ).fit(log)
+            log,
+        )
         assert np.isfinite(model.score_items(0)).all()

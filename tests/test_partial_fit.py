@@ -8,6 +8,7 @@ from repro.core.tf_model import NotFittedError, TaxonomyFactorModel
 from repro.data.transactions import TransactionLog
 from repro.taxonomy.generator import complete_taxonomy
 from repro.utils.config import TrainConfig
+from repro.train import train_model
 
 
 @pytest.fixture()
@@ -41,9 +42,12 @@ class TestEnsureUsers:
 
 class TestPartialFit:
     def test_continues_training(self, taxonomy, log):
-        model = TaxonomyFactorModel(
-            taxonomy, TrainConfig(factors=4, epochs=2, taxonomy_levels=3, seed=0)
-        ).fit(log)
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy, TrainConfig(factors=4, epochs=2, taxonomy_levels=3, seed=0)
+            ),
+            log,
+        )
         w_before = model.factor_set.w.copy()
         model.partial_fit(epochs=2)
         assert len(model.history_) == 4
@@ -55,9 +59,12 @@ class TestPartialFit:
             model.partial_fit(log)
 
     def test_new_log_with_more_users(self, taxonomy, log):
-        model = TaxonomyFactorModel(
-            taxonomy, TrainConfig(factors=4, epochs=2, taxonomy_levels=3, seed=0)
-        ).fit(log)
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy, TrainConfig(factors=4, epochs=2, taxonomy_levels=3, seed=0)
+            ),
+            log,
+        )
         bigger = TransactionLog(
             log.to_lists() + [[[3], [5]], [[7]]], n_items=8
         )
@@ -66,9 +73,12 @@ class TestPartialFit:
         assert np.isfinite(model.score_items(3)).all()
 
     def test_item_mismatch_rejected(self, taxonomy, log):
-        model = TaxonomyFactorModel(
-            taxonomy, TrainConfig(factors=4, epochs=1, taxonomy_levels=3, seed=0)
-        ).fit(log)
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy, TrainConfig(factors=4, epochs=1, taxonomy_levels=3, seed=0)
+            ),
+            log,
+        )
         with pytest.raises(ValueError, match="item universe"):
             model.partial_fit(TransactionLog([[[0]]], n_items=3))
 
@@ -78,17 +88,23 @@ class TestPartialFit:
             [[int(rng.integers(0, 8))] for _ in range(3)] for _ in range(60)
         ]
         log = TransactionLog(rows, n_items=8)
-        model = TaxonomyFactorModel(
-            taxonomy, TrainConfig(factors=4, epochs=2, taxonomy_levels=3, seed=0)
-        ).fit(log)
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy, TrainConfig(factors=4, epochs=2, taxonomy_levels=3, seed=0)
+            ),
+            log,
+        )
         first = model.history_[-1].loss
         model.partial_fit(epochs=6)
         assert model.history_[-1].loss <= first * 1.1
 
     def test_preserves_existing_user_factors_on_growth(self, taxonomy, log):
-        model = TaxonomyFactorModel(
-            taxonomy, TrainConfig(factors=4, epochs=1, taxonomy_levels=3, seed=0)
-        ).fit(log)
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy, TrainConfig(factors=4, epochs=1, taxonomy_levels=3, seed=0)
+            ),
+            log,
+        )
         user0 = model.factor_set.user[0].copy()
         bigger = TransactionLog(
             log.to_lists() + [[[3]]], n_items=8

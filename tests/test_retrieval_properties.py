@@ -11,9 +11,13 @@ The contract under test, from ``repro.serving.index``:
   pads rather than inventing candidates;
 * **determinism** — same model + same knob => byte-identical rankings
   across repeated calls, including the fp16-page configuration;
+* **one seam** — at its exact extreme every mode serves the brute-force
+  oracle's page, and ``recommend(u)`` is ``recommend_batch([u])[0]``
+  down to the stats it records;
 * **refusal** — every invalid (retrieval, cascade, knob) combination is
-  rejected up front with an error that names the approximate modes, on
-  both :class:`RecommenderService` and :class:`ShardRouter`.
+  rejected up front with an error that names the approximate modes, by
+  :class:`RetrievalConfig` itself and therefore identically on
+  :class:`RecommenderService` and :class:`ShardRouter`.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ import pytest
 
 from repro.core.factors import FactorSet
 from repro.core.tf_model import TaxonomyFactorModel
-from repro.core.topk import PAD_ITEM
+from repro.core.topk import PAD_ITEM, top_k_rows
+from repro.data.transactions import TransactionLog
 from repro.eval.recall import recall_vs_reference, sweep_recall
 from repro.serving.index import SubtreeIndex
+from repro.serving.retrieval import RETRIEVAL_MODES, RetrievalConfig, Retriever
 from repro.serving.service import RecommenderService
 from repro.serving.sharding import ShardRouter
 from repro.taxonomy.generator import complete_taxonomy
@@ -68,6 +74,39 @@ def _model(taxonomy: Taxonomy, seed: int = 0) -> TaxonomyFactorModel:
     model = TaxonomyFactorModel(taxonomy, TrainConfig(factors=FACTORS))
     model._factors = factor_set
     return model
+
+
+def _seam_model(taxonomy: Taxonomy, tied: bool = False) -> TaxonomyFactorModel:
+    """A Markov model (histories move the query) with a purchase log.
+
+    ``tied=True`` zeroes every factor and bias: all items score 0 for
+    every request, so the page is decided by the tie-break alone.
+    """
+    rng = np.random.default_rng(3)
+    scale = 0.0 if tied else 0.4
+    nodes = taxonomy.n_nodes + 1
+    factor_set = FactorSet.from_arrays(
+        taxonomy,
+        user=rng.normal(0, 1.0, size=(16, FACTORS)) * scale,
+        w=rng.normal(0, 1.0, size=(nodes, FACTORS)) * scale,
+        bias=rng.normal(0, 0.25, size=nodes) * scale,
+        w_next=rng.normal(0, 1.0, size=(nodes, FACTORS)) * scale,
+        levels=taxonomy.max_depth + 1,
+        init_scale=0.1,
+    )
+    model = TaxonomyFactorModel(
+        taxonomy, TrainConfig(factors=FACTORS, markov_order=1)
+    )
+    model._factors = factor_set
+    n_items = taxonomy.n_items
+    log = TransactionLog(
+        [
+            [[(7 * u + 3 * t + j) % n_items for j in range(4)] for t in range(3)]
+            for u in range(16)
+        ],
+        n_items=n_items,
+    )
+    return model.attach_log(log)
 
 
 # ----------------------------------------------------------------------
@@ -141,15 +180,17 @@ class TestRecallMonotonicity:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_budget_and_nprobe_recall_are_monotone(self, seed):
         taxonomy, effective, bias = _catalog(seed=seed)
-        index = SubtreeIndex(effective, bias, taxonomy, approx=True)
+        retriever = Retriever(
+            RetrievalConfig("budget"), effective, bias, taxonomy
+        )
         queries = np.random.default_rng(seed + 100).normal(size=(24, FACTORS))
         n_items = taxonomy.n_items
         curve = sweep_recall(
-            index,
+            retriever,
             queries,
             k=10,
             budgets=(1, n_items // 8, n_items // 2, None),
-            nprobes=tuple(range(1, index.n_cells + 1)),
+            nprobes=tuple(range(1, retriever.index.n_cells + 1)),
         )
         for mode in ("budget", "ivf"):
             recalls = [p.recall for p in curve.points if p.mode == mode]
@@ -308,6 +349,75 @@ class TestFactorPages:
 
 
 # ----------------------------------------------------------------------
+# One seam: single request == one-row batch == brute-force oracle
+# ----------------------------------------------------------------------
+_SEAM_STATS = ("cache_hits", "cache_misses", "nodes_scored",
+               "known_user_requests", "requests")
+
+
+@pytest.mark.parametrize("mode", RETRIEVAL_MODES)
+@pytest.mark.parametrize("case", ["banned", "history", "all_tied", "deep_k"])
+class TestOneRowIsTheBatchPath:
+    """Every mode at its exact extreme (``budget=None`` / ``nprobe=None``).
+
+    ``recommend(u)`` must be ``recommend_batch([u])[0]`` must be the
+    ``top_k_rows`` oracle over the dense scores, and the two calls must
+    account the same work — first against a cold query cache, then
+    against a warm one.
+    """
+
+    def test_recommend_equals_batch_equals_oracle(self, mode, case):
+        taxonomy, _eff, _bias = _catalog()
+        model = _seam_model(taxonomy, tied=case == "all_tied")
+        log, user = model._train_log, 5
+        assert log.user_items(user).size >= 8  # the bans are real
+        k = taxonomy.n_items + 5 if case == "deep_k" else 9
+        history = (
+            [np.array([2, 9]), np.array([4])] if case == "history" else None
+        )
+        histories = None if history is None else [history]
+
+        scores = model.score_matrix(np.array([user]), histories)
+        if case == "history":  # the explicit history really moved the query
+            assert not np.array_equal(
+                scores, model.score_matrix(np.array([user]))
+            )
+        scores[0, log.user_items(user)] = -np.inf
+        oracle = top_k_rows(scores, k)[0]
+        oracle = oracle[oracle >= 0]
+        if case == "deep_k":
+            assert oracle.size == taxonomy.n_items - log.user_items(user).size
+
+        single = RecommenderService(model, retrieval=mode)
+        batch = RecommenderService(model, retrieval=mode)
+        for _round in ("cold cache", "warm cache"):
+            before = {
+                name: (getattr(single.stats, name), getattr(batch.stats, name))
+                for name in _SEAM_STATS
+            }
+            row = single.recommend(user, k, history)
+            page = batch.recommend_batch([user], k, histories)
+            assert page.shape == (1, min(k, taxonomy.n_items))
+            assert np.array_equal(row, oracle)
+            assert np.array_equal(page[0][page[0] >= 0], oracle)
+            deltas = {
+                name: (
+                    getattr(single.stats, name) - before[name][0],
+                    getattr(batch.stats, name) - before[name][1],
+                )
+                for name in _SEAM_STATS
+            }
+            for name, (one_row, batched) in deltas.items():
+                assert one_row == batched, (_round, name, deltas)
+            assert deltas["requests"] == (1, 1)
+            assert deltas["nodes_scored"][0] > 0
+        # An explicit history is request-specific: it bypasses the cache
+        # both ways; otherwise the second round was a hit.
+        expected_hits = 0 if case == "history" else 1
+        assert single.stats.cache_hits == batch.stats.cache_hits == expected_hits
+
+
+# ----------------------------------------------------------------------
 # Invalid configurations refuse loudly, naming the modes involved
 # ----------------------------------------------------------------------
 def _service_factory(**kwargs):
@@ -320,9 +430,16 @@ def _router_factory(**kwargs):
     return ShardRouter(_model(taxonomy), n_shards=2, **kwargs)
 
 
-@pytest.mark.parametrize("factory", [_service_factory, _router_factory])
+def _config_factory(retrieval="exact", **kwargs):
+    return RetrievalConfig(retrieval, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "factory", [_service_factory, _router_factory, _config_factory]
+)
 class TestInvalidRetrievalConfigs:
-    """One test per invalid combination, on both serving front doors.
+    """One test per invalid combination, on both serving front doors
+    and on the :class:`RetrievalConfig` they fold their keywords into.
 
     The guards run before any worker process spawns, so the router
     cases are as cheap as the service ones.

@@ -206,9 +206,9 @@ class TestServicePrunedRetrieval:
             pruned.recommend_batch(users, k=10),
             exact.recommend_batch(users, k=10),
         )
-        assert pruned.model_state.index is not None
-        assert pruned.model_state.retrieval == "pruned"
-        assert exact.model_state.index is None
+        assert pruned.model_state.retriever.index is not None
+        assert pruned.model_state.retriever.config.mode == "pruned"
+        assert exact.model_state.retriever.index is None
 
     def test_single_requests_match(self, trained):
         _data, split, model = trained
@@ -253,7 +253,7 @@ class TestServicePrunedRetrieval:
         service = RecommenderService(
             model, history_log=split.train, retrieval="pruned", index_level=1
         )
-        assert service.model_state.index.level == 1
+        assert service.model_state.retriever.index.level == 1
         exact = RecommenderService(model, history_log=split.train)
         users = np.arange(64)
         assert np.array_equal(
@@ -285,7 +285,7 @@ class TestPrunedHotSwap:
         pruned = RecommenderService(
             model, history_log=split.train, retrieval="pruned"
         )
-        old_index = pruned.model_state.index
+        old_index = pruned.model_state.retriever.index
         updater = OnlineUpdater(model, steps=3, seed=0)
         updater.apply_events(
             [
@@ -298,8 +298,8 @@ class TestPrunedHotSwap:
         swapper.publish(snapshot)
 
         state = pruned.model_state
-        assert state.index is not None
-        assert state.index is not old_index  # rebuilt, not reused
+        assert state.retriever.index is not None
+        assert state.retriever.index is not old_index  # rebuilt, not reused
         exact = RecommenderService(snapshot, history_log=state.history_log)
         users = np.arange(model.n_users)
         assert np.array_equal(
@@ -312,9 +312,9 @@ class TestPrunedHotSwap:
         pruned = RecommenderService(
             model, history_log=split.train, retrieval="pruned"
         )
-        old_index = pruned.model_state.index
+        old_index = pruned.model_state.retriever.index
         pruned.refresh()
-        assert pruned.model_state.index is not old_index
+        assert pruned.model_state.retriever.index is not old_index
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +335,7 @@ class TestShardedPrunedRetrieval:
             retrieval="pruned",
         ) as fleet:
             got = fleet.recommend_batch(users, k=10)
-            assert fleet.retrieval == "pruned"
+            assert fleet.retrieval.mode == "pruned"
         assert np.array_equal(got, expected)
 
     def test_fleet_swap_rebuilds_shard_indexes(self, trained):

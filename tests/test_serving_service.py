@@ -15,6 +15,7 @@ from repro.serving.service import (
     ServingError,
 )
 from repro.utils.config import CascadeConfig
+from repro.train import train_model
 
 
 @pytest.fixture()
@@ -299,9 +300,12 @@ class TestStatsAndRefresh:
         assert service.stats.requests == 0
 
     def test_refresh_after_partial_fit(self, dataset, split):
-        model = TaxonomyFactorModel(
-            dataset.taxonomy, factors=8, epochs=2, seed=0
-        ).fit(split.train)
+        model = train_model(
+            TaxonomyFactorModel(
+                dataset.taxonomy, factors=8, epochs=2, seed=0
+            ),
+            split.train,
+        )
         service = RecommenderService(model)
         before = service.recommend(0, k=5)
         model.partial_fit(epochs=2)
@@ -325,7 +329,7 @@ class TestHotSwap:
         model = TaxonomyFactorModel(
             dataset.taxonomy, factors=8, epochs=4, seed=99
         )
-        return model.fit(split.train)
+        return train_model(model, split.train)
 
     def test_swap_serves_the_new_model(self, tf_model, retrained):
         service = RecommenderService(tf_model)
@@ -384,9 +388,12 @@ class TestHotSwap:
 
     def test_swap_after_mutation_regression(self, dataset, split):
         """Swapping in a mutated copy must serve the mutation, cache included."""
-        model = TaxonomyFactorModel(
-            dataset.taxonomy, factors=8, epochs=2, seed=0
-        ).fit(split.train)
+        model = train_model(
+            TaxonomyFactorModel(
+                dataset.taxonomy, factors=8, epochs=2, seed=0
+            ),
+            split.train,
+        )
         service = RecommenderService(model)
         service.recommend(0, k=5)
         import copy as _copy
@@ -419,9 +426,12 @@ class TestHotSwap:
         assert service.history_log is split.train
 
     def test_refresh_uses_the_swap_path(self, dataset, split):
-        model = TaxonomyFactorModel(
-            dataset.taxonomy, factors=8, epochs=2, seed=0
-        ).fit(split.train)
+        model = train_model(
+            TaxonomyFactorModel(
+                dataset.taxonomy, factors=8, epochs=2, seed=0
+            ),
+            split.train,
+        )
         service = RecommenderService(model)
         generation = service.generation
         model.partial_fit(epochs=1)

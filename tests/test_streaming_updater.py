@@ -6,6 +6,7 @@ import pytest
 from repro.streaming.events import ItemArrival, MicroBatch, PurchaseEvent
 from repro.streaming.updater import OnlineUpdater
 from repro.core.tf_model import TaxonomyFactorModel
+from repro.train import train_model
 
 
 @pytest.fixture()
@@ -88,9 +89,12 @@ class TestKnownUserUpdates:
         import repro.streaming.updater as updater_mod
 
         log = TransactionLog([[[0], [4]], [[2], [6]]], n_items=8)
-        model = TaxonomyFactorModel(
-            tiny_taxonomy, TrainConfig(factors=4, epochs=2, seed=0)
-        ).fit(log)
+        model = train_model(
+            TaxonomyFactorModel(
+                tiny_taxonomy, TrainConfig(factors=4, epochs=2, seed=0)
+            ),
+            log,
+        )
         updater = OnlineUpdater(model, steps=1, seed=0)
 
         class ScriptedRng:
@@ -186,10 +190,13 @@ class TestItemOnboarding:
         # Chains reach the root at levels=4 on the 2/2 taxonomy, so the
         # warm start is *exactly* the parent's ancestor-chain sum.
         log = TransactionLog([[[0, 1], [4]], [[2], [6]], [[5], [7]]], n_items=8)
-        model = TaxonomyFactorModel(
-            tiny_taxonomy,
-            TrainConfig(factors=4, epochs=3, taxonomy_levels=4, seed=0),
-        ).fit(log)
+        model = train_model(
+            TaxonomyFactorModel(
+                tiny_taxonomy,
+                TrainConfig(factors=4, epochs=3, taxonomy_levels=4, seed=0),
+            ),
+            log,
+        )
         updater = OnlineUpdater(model, steps=4, seed=0)
         parent = int(tiny_taxonomy.parent[tiny_taxonomy.items[0]])
         n_before = updater.n_items

@@ -7,6 +7,7 @@ from repro.core.tf_model import NotFittedError, TaxonomyFactorModel
 from repro.data.transactions import TransactionLog
 from repro.taxonomy.generator import complete_taxonomy
 from repro.utils.config import TrainConfig
+from repro.train import LambdaCallback, train_model
 
 
 @pytest.fixture()
@@ -31,7 +32,7 @@ def fitted(taxonomy, log):
     model = TaxonomyFactorModel(
         taxonomy, TrainConfig(factors=4, epochs=3, taxonomy_levels=3, seed=0)
     )
-    return model.fit(log)
+    return train_model(model, log)
 
 
 class TestConstruction:
@@ -52,7 +53,7 @@ class TestConstruction:
     def test_fit_rejects_item_mismatch(self, taxonomy):
         model = TaxonomyFactorModel(taxonomy)
         with pytest.raises(ValueError, match="item universe"):
-            model.fit(TransactionLog([[[0]]], n_items=3))
+            train_model(model, TransactionLog([[[0]]], n_items=3))
 
 
 class TestScoring:
@@ -66,12 +67,15 @@ class TestScoring:
             np.testing.assert_allclose(matrix[row], fitted.score_items(user))
 
     def test_history_defaults_to_train_log(self, taxonomy, log):
-        model = TaxonomyFactorModel(
-            taxonomy,
-            TrainConfig(
-                factors=4, epochs=2, taxonomy_levels=3, markov_order=1, seed=0
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy,
+                TrainConfig(
+                    factors=4, epochs=2, taxonomy_levels=3, markov_order=1, seed=0
+                ),
             ),
-        ).fit(log)
+            log,
+        )
         default = model.score_items(1)
         explicit = model.score_items(1, history=log.user_transactions(1))
         np.testing.assert_allclose(default, explicit)
@@ -84,12 +88,15 @@ class TestScoring:
         np.testing.assert_allclose(a, b)
 
     def test_query_matrix_matches_query_vector(self, taxonomy, log):
-        model = TaxonomyFactorModel(
-            taxonomy,
-            TrainConfig(
-                factors=4, epochs=2, taxonomy_levels=3, markov_order=2, seed=1
+        model = train_model(
+            TaxonomyFactorModel(
+                taxonomy,
+                TrainConfig(
+                    factors=4, epochs=2, taxonomy_levels=3, markov_order=2, seed=1
+                ),
             ),
-        ).fit(log)
+            log,
+        )
         users = np.array([0, 1])
         matrix = model.query_matrix(users)
         for row, user in enumerate(users):
@@ -142,5 +149,13 @@ class TestFactorsAccess:
         model = TaxonomyFactorModel(
             taxonomy, TrainConfig(factors=4, epochs=2, taxonomy_levels=3, seed=0)
         )
-        model.fit(log, callback=lambda stats, trainer: calls.append(stats.epoch))
+        train_model(
+            model,
+            log,
+            callbacks=[
+                LambdaCallback(
+                    on_epoch_end=lambda _e, stats, _t: calls.append(stats.epoch)
+                )
+            ],
+        )
         assert calls == [0, 1]

@@ -228,8 +228,15 @@ class TestTiedScoresShardInvariance:
 # ----------------------------------------------------------------------
 # Approximate tiers: shard invariance and swap coherence
 # ----------------------------------------------------------------------
-def _random_factor_model(seed: int, n_users: int = 24) -> TaxonomyFactorModel:
-    """The 24-item taxonomy of ``_constant_score_model``, random factors."""
+def _random_factor_model(
+    seed: int, n_users: int = 24, markov: bool = False
+) -> TaxonomyFactorModel:
+    """The 24-item taxonomy of ``_constant_score_model``, random factors.
+
+    ``markov=True`` adds next-item factors (drawn last, so the other
+    matrices are the same as without) and ``markov_order=1``: explicit
+    request histories then move the query vector.
+    """
     parent = [-1] + [0] * 4
     for cat in range(1, 5):
         parent += [cat] * 6
@@ -241,10 +248,15 @@ def _random_factor_model(seed: int, n_users: int = 24) -> TaxonomyFactorModel:
         user=rng.normal(0, 0.5, size=(n_users, factors)),
         w=rng.normal(0, 0.5, size=(taxonomy.n_nodes + 1, factors)),
         bias=rng.normal(0, 0.2, size=taxonomy.n_nodes + 1),
+        w_next=rng.normal(0, 0.5, size=(taxonomy.n_nodes + 1, factors))
+        if markov
+        else None,
         levels=2,
         init_scale=0.1,
     )
-    model = TaxonomyFactorModel(taxonomy, TrainConfig(factors=factors))
+    model = TaxonomyFactorModel(
+        taxonomy, TrainConfig(factors=factors, markov_order=int(markov))
+    )
     model._factors = factor_set
     return model
 
@@ -256,9 +268,18 @@ _APPROX_KNOBS = {
     "ivf": {"retrieval": "ivf", "nprobe": 2},
 }
 
+#: Every mode the retrieval seam dispatches on: the two exact engines
+#: (item-partition x "exact" is the dense *slice* scan) plus the
+#: partial-knob approximate configurations above.
+_SEAM_KNOBS = {
+    "exact": {"retrieval": "exact"},
+    "pruned": {"retrieval": "pruned"},
+    **_APPROX_KNOBS,
+}
+
 
 class TestApproximateShardInvariance:
-    @pytest.mark.parametrize("mode", ["budget", "ivf"])
+    @pytest.mark.parametrize("mode", sorted(_SEAM_KNOBS))
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     @pytest.mark.parametrize("partition", ["users", "items"])
     def test_fleet_matches_single_process(self, mode, n_shards, partition):
@@ -267,7 +288,7 @@ class TestApproximateShardInvariance:
         global budget — any shard count returns the single-process page
         byte for byte."""
         model = _random_factor_model(seed=42)
-        knobs = _APPROX_KNOBS[mode]
+        knobs = _SEAM_KNOBS[mode]
         users = np.arange(model.n_users)
         expected = RecommenderService(
             model, cache_size=0, **knobs
@@ -278,6 +299,52 @@ class TestApproximateShardInvariance:
         ) as fleet:
             got = fleet.recommend_batch(users, k=5)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("mode", sorted(_SEAM_KNOBS))
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_item_slices_match_with_bans_histories_and_deep_k(
+        self, mode, n_shards
+    ):
+        """The slice scan under everything a page request can carry:
+        purchased-item bans from the history log, explicit per-row
+        histories (Markov model, so they move the query), a cold row in
+        the same batch, and ``k`` deeper than a slice (6 items at 4
+        shards) — the merged page is still the single-process page."""
+        model = _random_factor_model(seed=42, markov=True)
+        n_items = model.n_items
+        log = TransactionLog(
+            [
+                [[(5 * u + 2 * t + j) % n_items for j in range(3)]
+                 for t in range(2)]
+                for u in range(model.n_users)
+            ],
+            n_items=n_items,
+        )
+        knobs = _SEAM_KNOBS[mode]
+        users = [3, 7, None, 11, 3]
+        histories = [
+            None, [np.array([1, 20])], [np.array([4])], [np.array([9])], None,
+        ]
+        single = RecommenderService(
+            model, history_log=log, cache_size=0, **knobs
+        )
+        expected = single.recommend_batch(users, k=8, histories=histories)
+        # The explicit history really moved user 7's page.
+        assert not np.array_equal(
+            expected[1], single.recommend_batch([7], k=8)[0]
+        )
+        with ShardRouter(
+            model, n_shards=n_shards, partition="items", history_log=log,
+            cache_size=0, **knobs,
+        ) as fleet:
+            got = fleet.recommend_batch(users, k=8, histories=histories)
+            one = fleet.recommend(7, k=8, history=histories[1])
+        assert np.array_equal(got, expected)
+        assert np.array_equal(one, expected[1][expected[1] >= 0])
+        for row in (0, 1, 3, 4):
+            assert np.intersect1d(
+                got[row], log.user_items(users[row])
+            ).size == 0
 
     @pytest.mark.parametrize("mode", ["budget", "ivf"])
     def test_fleet_matches_single_process_on_all_ties(self, mode):
